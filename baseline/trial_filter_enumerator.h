@@ -1,8 +1,9 @@
-// The pre-certificate enumerator, kept as a strawman baseline: it walks
-// the same trimmed candidate lists in the same order as
-// TrimmedEnumerator, but discovers whether a candidate is live for the
-// current prefix by *trial* AdvanceStates — exactly the enumerator this
-// repo shipped before the Theorem 2 certificate machinery landed.
+// The pre-certificate enumerator, kept as a strawman baseline and as the
+// order oracle of the tests: it walks the same trimmed candidate lists
+// in the same order as ResumableEnumerator, but never reads the B-lists:
+// it discovers whether a candidate is live for the current prefix by
+// *trial* AdvanceStates — exactly the enumerator this repo shipped
+// before the Theorem 2 certificate machinery landed.
 //
 // A candidate edge of (level, v) is usable from at least one useful
 // state of (level, v), but can still be dead for the reachable-run set
@@ -12,7 +13,7 @@
 // makes the gap between two outputs grow linearly with the fanout —
 // the honest-delay gap bench_delay's E3b and tests/delay_bound_test.cc
 // measure. Answer sequence and order are byte-identical to
-// TrimmedEnumerator's (the property the cross-oracle test pins), only
+// ResumableEnumerator's (the property the cross-oracle tests pin), only
 // the delay differs.
 
 #ifndef DSW_BASELINE_TRIAL_FILTER_ENUMERATOR_H_
@@ -25,7 +26,7 @@
 
 #include "core/annotate.h"
 #include "core/database.h"
-#include "core/enumerator.h"
+#include "core/resumable_enumerator.h"  // enumerator_detail::AdvanceStates
 #include "core/trimmed_index.h"
 #include "core/walk.h"
 #include "util/state_set.h"

@@ -10,22 +10,25 @@
 //
 // SingleWord vs MultiWord: the same annotate + trim work with the
 // collapsed one-uint64_t kernels vs the generic multi-word loops forced
-// onto the same one-word query (AnnotateOptions::force_multi_word) —
-// the kernel win of the single-word tier in isolation, identical
-// output bits on both arms.
+// onto the same one-word query (the ScopedMultiWordKernels test seam of
+// util/word_kernel.h) — the kernel win of the single-word tier in
+// isolation, identical output bits on both arms. The general arms
+// enumerate with ResumableEnumerator, the engine's one enumerator.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "bench_util.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/query_traits.h"
+#include "core/resumable_index.h"
 #include "core/simple_enumerator.h"
 #include "core/trimmed_index.h"
+#include "util/word_kernel.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
@@ -98,15 +101,16 @@ void BM_FastPath_GeneralAlgorithm(benchmark::State& state) {
   bench::DelayProfile profile;
   for (auto _ : state) {
     Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
-    TrimmedIndex index(snap, ann);
-    TrimmedEnumerator en(ann, index, inst.source, inst.target);
+    ResumableIndex index(snap, ann);
+    ResumableEnumerator en(ann, index, inst.source, inst.target);
     profile = bench::MeasureDelays(&en);
   }
   bench::ReportDelays(state, profile);
   Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
-  state.counters["batch_mean_delay_ns"] = BatchedMeanDelayNs(
-      [&] { return TrimmedEnumerator(ann, index, inst.source, inst.target); });
+  ResumableIndex index(snap, ann);
+  state.counters["batch_mean_delay_ns"] = BatchedMeanDelayNs([&] {
+    return ResumableEnumerator(ann, index, inst.source, inst.target);
+  });
 }
 BENCHMARK(BM_FastPath_GeneralAlgorithm)->DenseRange(6, 14, 2)
     ->Unit(benchmark::kMillisecond);
@@ -123,22 +127,19 @@ void BM_FastPath_GeneralTierKernels(benchmark::State& state) {
                        static_cast<uint32_t>(state.range(0)));
   Snapshot snap = inst.db.Freeze();
   Nfa dfa = GridDfa(state.range(0));
-  AnnotateOptions force;
-  force.force_multi_word = true;
+  ScopedMultiWordKernels force;
   bench::DelayProfile profile;
   for (auto _ : state) {
-    Annotation ann = Annotate(snap, dfa, inst.source, inst.target, force);
-    TrimmedIndex index(snap, ann, force);
-    TrimmedEnumerator en(ann, index, inst.source, inst.target,
-                         /*force_multi_word=*/true);
+    Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
+    ResumableIndex index(snap, ann);
+    ResumableEnumerator en(ann, index, inst.source, inst.target);
     profile = bench::MeasureDelays(&en);
   }
   bench::ReportDelays(state, profile);
-  Annotation ann = Annotate(snap, dfa, inst.source, inst.target, force);
-  TrimmedIndex index(snap, ann, force);
+  Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
+  ResumableIndex index(snap, ann);
   state.counters["batch_mean_delay_ns"] = BatchedMeanDelayNs([&] {
-    return TrimmedEnumerator(ann, index, inst.source, inst.target,
-                             /*force_multi_word=*/true);
+    return ResumableEnumerator(ann, index, inst.source, inst.target);
   });
 }
 BENCHMARK(BM_FastPath_GeneralTierKernels)->DenseRange(6, 14, 2)
@@ -158,29 +159,29 @@ BENCHMARK(BM_FastPath_Detection)->DenseRange(6, 14, 4);
 
 // The single-word kernel win on preprocessing, in isolation: same
 // one-word query, same snapshot, same output bits — only the kernel
-// instantiation differs (force_multi_word runs the generic loops).
-void AnnotateTrimArm(benchmark::State& state, bool force_multi_word) {
+// instantiation differs (multi_word runs the generic loops).
+void AnnotateTrimArm(benchmark::State& state, bool multi_word) {
   Instance inst = Grid(static_cast<uint32_t>(state.range(0)),
                        static_cast<uint32_t>(state.range(0)));
   Snapshot snap = inst.db.Freeze();
   Nfa dfa = GridDfa(state.range(0));
-  AnnotateOptions opts;
-  opts.force_multi_word = force_multi_word;
+  std::optional<ScopedMultiWordKernels> force;
+  if (multi_word) force.emplace();
   for (auto _ : state) {
-    Annotation ann = Annotate(snap, dfa, inst.source, inst.target, opts);
-    TrimmedIndex index(snap, ann, opts);
+    Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
+    TrimmedIndex index(snap, ann);
     benchmark::DoNotOptimize(index.num_slots());
   }
 }
 
 void BM_FastPath_AnnotateTrimSingleWord(benchmark::State& state) {
-  AnnotateTrimArm(state, /*force_multi_word=*/false);
+  AnnotateTrimArm(state, /*multi_word=*/false);
 }
 BENCHMARK(BM_FastPath_AnnotateTrimSingleWord)->DenseRange(6, 14, 4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FastPath_AnnotateTrimMultiWord(benchmark::State& state) {
-  AnnotateTrimArm(state, /*force_multi_word=*/true);
+  AnnotateTrimArm(state, /*multi_word=*/true);
 }
 BENCHMARK(BM_FastPath_AnnotateTrimMultiWord)->DenseRange(6, 14, 4)
     ->Unit(benchmark::kMillisecond);

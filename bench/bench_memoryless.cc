@@ -11,7 +11,6 @@
 
 #include "bench_util.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_index.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -111,17 +110,15 @@ void BM_Memoryless_LinearReseek(benchmark::State& state) {
         EdgeId e = prev.edges[i];
         VertexId u = inst.db.src(e);
         uint32_t ti = snap.tgt_idx(e);
-        for (StateId p = 0; p < ann.num_states; ++p) {
-          uint32_t slot = index.SlotOf(u, p);
-          if (slot == kNoSlot) continue;
-          uint32_t cur = index.RestartCursor(slot);
-          while (!index.Exhausted(slot, cur) &&
-                 index.Peek(slot, cur).tgt_idx < ti) {
-            cur = index.Advanced(slot, cur);
-            ++scanned;
-          }
-          benchmark::DoNotOptimize(cur);
+        uint32_t slot = index.SlotAt(static_cast<uint32_t>(i), u);
+        if (slot == kNoSlot) continue;
+        uint32_t cur = index.RestartCursor(slot);
+        while (!index.Exhausted(slot, cur) &&
+               snap.tgt_idx(index.Peek(slot, cur).edge) < ti) {
+          cur = index.Advanced(slot, cur);
+          ++scanned;
         }
+        benchmark::DoNotOptimize(cur);
       }
       if (!en.SeekAfter(prev) || !en.Valid()) break;
       prev = en.walk();

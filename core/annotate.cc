@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/shard_plan.h"
-#include "core/sharded_annotate.h"
 #include "util/word_kernel.h"
 
 namespace dsw {
@@ -130,10 +128,7 @@ void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
 }  // namespace
 
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
-                    uint32_t target, const AnnotateOptions& opts) {
-  if (ShardPlan::ClampShards(opts.num_shards, snap.num_vertices()) > 1)
-    return ShardedAnnotate(snap, query, source, target, opts);
-
+                    uint32_t target) {
   Annotation ann;
   ann.num_states = query.num_states();
   ann.source = source;
@@ -148,11 +143,8 @@ Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
 
   // Tier dispatch: one-word queries run the collapsed single-word
   // kernels unless a test/bench forces the generic instantiation.
-  const uint32_t wps = ann.words_per_set();
-  if (wps == 1 && !opts.force_multi_word)
-    ProductBfs(snap, query, SingleWordKernel(), &ann);
-  else
-    ProductBfs(snap, query, MultiWordKernel(wps), &ann);
+  WithKernel(ann.words_per_set(),
+             [&](auto ker) { ProductBfs(snap, query, ker, &ann); });
   return ann;
 }
 
@@ -188,10 +180,7 @@ Annotation MultiSourceAnnotation::Slice(size_t j) const {
 MultiSourceAnnotation AnnotateMultiSource(const Snapshot& snap,
                                           const Nfa& query,
                                           const std::vector<uint32_t>& sources,
-                                          uint32_t target,
-                                          const AnnotateOptions& opts) {
-  (void)opts;  // sharding n/a: the block dimension is the parallelism here
-
+                                          uint32_t target) {
   MultiSourceAnnotation ms;
   ms.num_states = query.num_states();
   ms.num_blocks = static_cast<uint32_t>(sources.size());

@@ -125,9 +125,14 @@ class LabelIndex {
 
   /// Position of \p edge in the target pool — its rank in the global
   /// (src, label, insertion) order. Within one vertex this is exactly
-  /// the order the trimmed enumerator tries candidate edges in, which
+  /// the order the enumerator tries candidate edges in, which
   /// makes it the sort/seek key of the resumable candidate queues.
   uint32_t PositionOf(uint32_t edge) const { return edge_pos_[edge]; }
+
+  /// Number of edges indexed; PositionOf accepts ids below it.
+  uint32_t num_edges() const {
+    return static_cast<uint32_t>(edge_pos_.size());
+  }
 
  private:
   friend class Database;
@@ -333,6 +338,15 @@ class Snapshot {
   const LabelIndex& label_index() const {
     AssertFresh();
     return *index_;
+  }
+
+  /// Shared ownership of the same LabelIndex, for structures that read
+  /// it after this snapshot is gone (ResumableIndex's seek keys). The
+  /// index itself is immutable, so holding it past a later Freeze() is
+  /// safe storage-wise; staleness is the holder's generation check.
+  std::shared_ptr<const LabelIndex> shared_label_index() const {
+    AssertFresh();
+    return index_;
   }
 
   /// Rank of edge \p id in the label-stratified target pool (the

@@ -2,23 +2,20 @@
 
 #include <cassert>
 
-#include "core/enumerator.h"  // enumerator_detail::AdvanceStates
-
 namespace dsw {
 
 ResumableEnumerator::ResumableEnumerator(const Annotation& ann,
                                          const ResumableIndex& index,
-                                         uint32_t source, uint32_t target,
-                                         bool force_multi_word)
+                                         uint32_t source, uint32_t target)
     : index_(&index),
       delta_(&ann.delta),
       lambda_(ann.lambda),
       wps_(ann.words_per_set()),
-      single_word_(ann.words_per_set() == 1 && !force_multi_word),
+      single_word_(UseSingleWordKernel(ann.words_per_set())),
       source_(source) {
-  // As with TrimmedEnumerator: the endpoints are baked into the
-  // annotation; a mismatch is a caller bug. The database is not
-  // consulted — the index denormalizes everything.
+  // The endpoints are baked into the annotation; a mismatch is a caller
+  // bug. The database is not consulted — the index denormalizes
+  // everything.
   assert(source == ann.source && target == ann.target);
   (void)target;
   if (!ann.reachable() || index.empty()) return;
@@ -43,12 +40,18 @@ void ResumableEnumerator::Rewind() {
     valid_ = true;  // the single empty walk
     return;
   }
-  uint32_t slot = index_->SlotAt(0, source_);
-  assert(slot != kNoSlot && "answers exist but source has no queue");
-  stack_[0].base = index_->RestartCursor(slot);
-  stack_[0].cur = stack_[0].base;
-  stack_[0].blist = index_->BListOf(slot);
+  const size_t pos0 = index_->trimmed().UsefulLevel(0).FindIndex(source_);
+  assert(pos0 != LevelSets::npos && "answers exist but source has no queue");
+  EnterQueue(&stack_[0], 0, static_cast<uint32_t>(pos0));
   FindNext();
+}
+
+void ResumableEnumerator::EnterQueue(Frame* f, uint32_t level,
+                                     uint32_t pos) const {
+  const TrimmedIndex& trimmed = index_->trimmed();
+  f->base = trimmed.CandidateRangeAt(level, pos).first;
+  f->cur = f->base;
+  f->blist = trimmed.BListAt(level, pos);
 }
 
 void ResumableEnumerator::Next() {
@@ -60,28 +63,46 @@ void ResumableEnumerator::Next() {
   FindNext();
 }
 
+uint32_t ResumableEnumerator::NextLive(const Frame& f) {
+  const uint32_t from = f.cur - f.base;
+  if (single_word_)
+    return f.blist.NextLiveWith(SingleWordKernel(), f.states, from,
+                                &stats_.probes);
+  return f.blist.NextLiveWith(MultiWordKernel(wps_), f.states, from,
+                              &stats_.probes);
+}
+
+bool ResumableEnumerator::Advance(const StateSet& from, uint32_t label,
+                                  uint32_t level, uint32_t next_pos,
+                                  StateSet* out) {
+  StateSetView useful_next = index_->trimmed().UsefulStates(level, next_pos);
+  if (single_word_)
+    return enumerator_detail::AdvanceStatesWith(
+        SingleWordKernel(), *delta_, from, label, useful_next, out,
+        &stats_.row_ors);
+  return enumerator_detail::AdvanceStatesWith(MultiWordKernel(wps_), *delta_,
+                                              from, label, useful_next, out,
+                                              &stats_.row_ors);
+}
+
 void ResumableEnumerator::FindNext() {
-  // Mirrors TrimmedEnumerator::FindNext over the index's queues; the
-  // only structural difference is that frames hold (base, cur)
-  // cursors into the shared candidate pool instead of spans, so a frame
-  // rebuilt by SeekAfter is indistinguishable from one the DFS left
-  // behind. The certificate structure (B-lists) guarantees every
-  // candidate NextLive hands back is live for the frame's reachable
-  // set, so AdvanceStates cannot fail and the loop does at most lambda
-  // pops + lambda pushes between outputs (Theorem 2).
+  // Depth-first over the queues. Frames hold (base, cur) cursors into
+  // the shared candidate pool, so a frame rebuilt by SeekAfter is
+  // indistinguishable from one the DFS left behind. The certificate
+  // structure (B-lists) guarantees every candidate NextLive hands back
+  // is live for the frame's reachable set, so Advance cannot fail and
+  // the loop does at most lambda pops + lambda pushes between outputs
+  // (Theorem 2).
   while (true) {
     Frame& f = stack_[depth_];
-    const uint32_t c = f.blist.NextLive(f.states, f.cur - f.base,
-                                        &stats_.probes, single_word_);
+    const uint32_t c = NextLive(f);
     if (c < f.blist.num_cand) {
       const ResumableIndex::Candidate& ce = index_->At(f.base + c);
       f.cur = f.base + c + 1;
       ++stats_.cells;
       Frame& next = stack_[depth_ + 1];
-      const bool alive = enumerator_detail::AdvanceStates(
-          *delta_, wps_, f.states, ce.label,
-          index_->trimmed().UsefulStates(depth_ + 1, ce.next_pos),
-          &next.states, &stats_.row_ors, single_word_);
+      const bool alive =
+          Advance(f.states, ce.label, depth_ + 1, ce.next_pos, &next.states);
       assert(alive && "certificate handed out a dead candidate");
       (void)alive;
       next.vertex = ce.dst;
@@ -93,10 +114,7 @@ void ResumableEnumerator::FindNext() {
       }
       // ce.dst is useful at depth_ (< lambda), so its queue exists;
       // next_pos locates it in O(1), no binary search.
-      uint32_t slot = index_->SlotAtPos(depth_, ce.next_pos);
-      next.base = index_->RestartCursor(slot);
-      next.cur = next.base;
-      next.blist = index_->BListOf(slot);
+      EnterQueue(&next, depth_, ce.next_pos);
       continue;
     }
     if (depth_ == 0) return;  // root exhausted: enumeration done
@@ -143,10 +161,7 @@ bool ResumableEnumerator::SeekAfter(const Walk& prev) {
       return RejectSeek();  // e survived no answer at this level
     const ResumableIndex::Candidate& ce = index_->At(cur);
     Frame& next = stack_[i + 1];
-    if (!enumerator_detail::AdvanceStates(
-            *delta_, wps_, f.states, ce.label,
-            index_->trimmed().UsefulStates(i + 1, ce.next_pos),
-            &next.states, &stats_.row_ors, single_word_))
+    if (!Advance(f.states, ce.label, i + 1, ce.next_pos, &next.states))
       return RejectSeek();  // no accepting run threads through prev
     next.vertex = ce.dst;
     f.cur = cur + 1;  // resume strictly after prev's choice
@@ -157,7 +172,7 @@ bool ResumableEnumerator::SeekAfter(const Walk& prev) {
                : kNoSlot;
   }
 
-  // The stack is now exactly what the stateful DFS holds when emitting
+  // The stack is now exactly what the depth-first walk holds when emitting
   // prev; one ordinary Next() yields the successor (or the clean end).
   depth_ = static_cast<uint32_t>(lambda_);
   valid_ = true;

@@ -1,19 +1,41 @@
-// The memoryless enumerator (Theorem 18). Valid/Next/walk behave
-// exactly like TrimmedEnumerator — same answers, same order, same
-// O(lambda x |A|) step — and SeekAfter(w) adds the memoryless entry
-// point: given any answer w (and *only* w; no retained enumeration
-// state is consulted), reposition onto w and advance to the
-// lexicographically next answer.
+// Stage 3 of the pipeline: enumeration of the distinct shortest walks,
+// with the memoryless entry point of Theorem 18.
+//
+// Distinctness is the crux: one walk can carry many accepting runs (the
+// duplicate blow-up of the naive baseline, E7). The enumerator therefore
+// walks the prefix tree of *edge sequences*, not product paths. Each
+// stack frame holds the set R of useful states reachable by some run of
+// the current prefix; extending by a candidate edge e advances R in
+// O(|A|) as a word-parallel OR of the annotation's precompiled delta
+// rows (label of e), masked by the destination's useful set at the next
+// level. By the trimming invariant, R nonempty means the prefix extends
+// to at least one answer, so every interior node of the explored tree
+// leads to output and every answer is emitted exactly once, in
+// depth-first order over the candidate queues.
+//
+// Delay (Theorem 2): each frame derives its *live* candidate positions
+// from R through the index's certificate structure (TrimmedIndex::
+// BList) — the next candidate is a min over R of O(1) next-usable
+// loads, never a trial advance over a possibly-dead edge. The gap
+// between two outputs is at most lambda pops plus lambda pushes, each
+// O(|A|): row_ors <= lambda x |R| and probes <= (2 lambda + 1) x |R|,
+// independent of |D| and of dead-candidate fanout. All answers have
+// length exactly lambda; lambda == 0 (source == target, the query
+// accepts the empty word) yields the single empty walk.
+//
+// SeekAfter(w) is the memoryless entry point: given any answer w (and
+// *only* w; no retained enumeration state is consulted), reposition
+// onto w and advance to the lexicographically next answer.
 //
 // SeekAfter is a guided run over w's edges: starting from R_0 =
 // useful(0, source), each level's reachable-run set R_{i+1} is
-// re-derived with the same word-parallel delta-row OR the stateful
-// enumerator uses, and each level's queue cursor is repositioned with
-// the index's O(1) SeekGe — total O(lambda x |A|), independent of the
+// re-derived with the same word-parallel delta-row OR the depth-first
+// walk uses, and each level's queue cursor is repositioned with the
+// index's O(1) SeekGe — total O(lambda x |A|), independent of the
 // in-degrees along w (the linear-reseek strawman of bench_memoryless
 // pays an extra factor d there). After the guided run the stack is
-// bit-for-bit the state the stateful enumerator would have had when
-// emitting w, so one ordinary Next() lands on the successor.
+// bit-for-bit the state the depth-first walk had when it emitted w, so
+// one ordinary Next() lands on the successor.
 //
 // Contract for walks that are NOT answers (wrong length, an edge that
 // is no candidate at its level, a prefix whose reachable-run set dies):
@@ -22,6 +44,10 @@
 // invalidates. SeekAfter returns true iff w was accepted as an answer;
 // Valid() afterwards says whether a successor exists (false when w was
 // the last answer). walk() is only meaningful while Valid().
+//
+// The baseline/trial_filter_enumerator.h strawman walks the same
+// candidate lists without the certificate; it emits the same sequence
+// and is the order oracle of the tests.
 
 #ifndef DSW_CORE_RESUMABLE_ENUMERATOR_H_
 #define DSW_CORE_RESUMABLE_ENUMERATOR_H_
@@ -34,15 +60,59 @@
 #include "core/resumable_index.h"
 #include "core/walk.h"
 #include "util/state_set.h"
+#include "util/word_kernel.h"
 
 namespace dsw {
+
+namespace enumerator_detail {
+
+/// The kernel-generic body of AdvanceStates (see util/word_kernel.h for
+/// the execution-tier story).
+template <typename Kernel>
+inline bool AdvanceStatesWith(Kernel ker, const CompiledDelta& delta,
+                              const StateSet& from, uint32_t label,
+                              StateSetView useful_next, StateSet* out,
+                              uint64_t* row_ors) {
+  uint64_t* ow = out->mutable_words();
+  ker.Zero(ow);
+  uint64_t rows = 0;
+  ker.ForEachBit(from.words(), [&](uint32_t q) {
+    ++rows;
+    ker.Or(ow, delta.SuccessorWords(label, q));
+  });
+  if (row_ors) *row_ors += rows;
+  ker.And(ow, useful_next.words());
+  return ker.Any(ow);
+}
+
+/// One enumeration step of the reachable-run set: out = (union over q in
+/// from of delta[label][q]) AND useful_next. Returns whether any run of
+/// the extended prefix survives — false means the candidate edge is dead
+/// for this prefix. \p out must have capacity >= the delta's state
+/// count; \p wps is the word count of one set. When \p row_ors is
+/// non-null it is incremented by the number of delta-row ORs performed
+/// (identical in both kernel tiers). The enumerator calls the kernel
+/// body it picked at construction; this wrapper serves the baselines
+/// and tests.
+inline bool AdvanceStates(const CompiledDelta& delta, uint32_t wps,
+                          const StateSet& from, uint32_t label,
+                          StateSetView useful_next, StateSet* out,
+                          uint64_t* row_ors = nullptr) {
+  if (wps == 1)
+    return AdvanceStatesWith(SingleWordKernel(), delta, from, label,
+                             useful_next, out, row_ors);
+  return AdvanceStatesWith(MultiWordKernel(wps), delta, from, label,
+                           useful_next, out, row_ors);
+}
+
+}  // namespace enumerator_detail
 
 class ResumableEnumerator {
  public:
   /// Operation counts of the work SeekAfter/Next actually perform —
-  /// the CI-stable proxy for the Theorem 18 delay bound (wall clock is
-  /// too noisy to assert on). Binary-search slot lookups and other
-  /// index arithmetic are O(log) / O(1) and not counted.
+  /// the CI-stable proxy for the Theorem 2 and Theorem 18 delay bounds
+  /// (wall clock is too noisy to assert on). Binary-search slot lookups
+  /// and other index arithmetic are O(log) / O(1) and not counted.
   struct OpStats {
     uint64_t seeks = 0;    // SeekGe repositionings (one per level)
     uint64_t cells = 0;    // queue entries taken by Next/FindNext
@@ -53,15 +123,12 @@ class ResumableEnumerator {
 
   /// The annotation and index must outlive the enumerator; \p source
   /// and \p target must match the annotation's. Positions on the first
-  /// answer, like TrimmedEnumerator. The database is not consulted —
-  /// the index denormalizes everything — so any number of enumerators
-  /// can run concurrently over one shared (annotation, index) pair.
-  /// \p force_multi_word is the test/bench knob running the generic
-  /// multi-word kernels even on a one-word query (bit-identical
-  /// answers, order and OpStats).
+  /// answer. The database is not consulted — the index denormalizes
+  /// everything — so any number of enumerators can run concurrently
+  /// over one shared (annotation, index) pair. The word kernel is picked
+  /// here, once (util/word_kernel.h).
   ResumableEnumerator(const Annotation& ann, const ResumableIndex& index,
-                      uint32_t source, uint32_t target,
-                      bool force_multi_word = false);
+                      uint32_t source, uint32_t target);
 
   /// Repositions on the first answer, exactly as if freshly
   /// constructed (stats are kept). Lets a long-lived worker reuse one
@@ -104,6 +171,13 @@ class ResumableEnumerator {
 
   bool RejectSeek();
   void FindNext();
+  // Points \p f at the front of the queue of the vertex at position
+  // \p pos of useful level \p level.
+  void EnterQueue(Frame* f, uint32_t level, uint32_t pos) const;
+  // The kernel-dispatched enumeration primitives (single_word_ picks).
+  uint32_t NextLive(const Frame& f);
+  bool Advance(const StateSet& from, uint32_t label, uint32_t level,
+               uint32_t next_pos, StateSet* out);
 
   const ResumableIndex* index_;
   const CompiledDelta* delta_;

@@ -1,33 +1,31 @@
 #include "core/resumable_index.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace dsw {
 
-ResumableIndex::ResumableIndex(const Snapshot& snap, const Annotation& ann,
-                               const AnnotateOptions& opts)
-    : trimmed_(snap, ann, opts) {
-  BuildQueues(snap, ann);
+ResumableIndex::ResumableIndex(const Snapshot& snap, const Annotation& ann)
+    : trimmed_(snap, ann), adj_(snap.shared_label_index()) {
+  BuildQueues(ann);
 }
 
 ResumableIndex::ResumableIndex(const Snapshot& snap, const Annotation& ann,
                                TrimmedIndex trimmed)
-    : trimmed_(std::move(trimmed)) {
-  BuildQueues(snap, ann);
+    : trimmed_(std::move(trimmed)), adj_(snap.shared_label_index()) {
+  BuildQueues(ann);
 }
 
-void ResumableIndex::BuildQueues(const Snapshot& snap,
-                                 const Annotation& ann) {
+void ResumableIndex::BuildQueues(const Annotation& ann) {
   if (!ann.reachable() || trimmed_.empty()) return;
   const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
-  const LabelIndex& adj = snap.label_index();
-
-  edge_tgt_.resize(snap.num_edges());
-  for (uint32_t e = 0; e < edge_tgt_.size(); ++e)
-    edge_tgt_[e] = adj.PositionOf(e);
+  const LabelIndex& adj = *adj_;
 
   // Every useful vertex below level lambda owns one queue (the trimmed
   // sweep only records a vertex as useful when it has >= 1 candidate).
+  // The vertex's out-edges sit contiguously in the target pool
+  // (BuildLabelIndex emits them vertex by vertex); that span is the
+  // domain of the queue's rank array.
   level_base_.assign(lambda + 1, 0);
   uint32_t n = 0;
   for (uint32_t i = 0; i < lambda; ++i) {
@@ -35,66 +33,40 @@ void ResumableIndex::BuildQueues(const Snapshot& snap,
     n += static_cast<uint32_t>(trimmed_.UsefulLevel(i).size());
   }
   level_base_[lambda] = n;
-  level_.resize(n);
-  vertex_.resize(n);
-  cand_begin_.resize(n);
-  cand_end_.resize(n);
-  span_begin_.resize(n);
-  span_len_.resize(n);
-  rank_begin_.resize(n);
-
+  slots_.reserve(n);
+  uint32_t ranks = 0;
   for (uint32_t i = 0; i < lambda; ++i) {
-    const LevelSets& lvl = trimmed_.UsefulLevel(i);
-    for (size_t vi = 0; vi < lvl.size(); ++vi) {
-      const uint32_t s = level_base_[i] + static_cast<uint32_t>(vi);
-      const uint32_t v = lvl.vertex(vi);
-      level_[s] = i;
-      vertex_[s] = v;
-
-      // The vertex's out-edges sit contiguously in the target pool
-      // (BuildLabelIndex emits them vertex by vertex); the span is the
-      // domain of the slot's rank array.
+    for (uint32_t v : trimmed_.UsefulLevel(i).vertices()) {
       std::span<const LabelIndex::Group> groups = adj.GroupsOf(v);
       const uint32_t sb = groups.front().begin;
-      span_begin_[s] = sb;
-      span_len_[s] = groups.back().end - sb;
-
-      // The trimmed candidate list of (i, v) is already ascending in
-      // target-pool rank: the sweep walks groups in label order and
-      // targets in pool order.
-      cand_begin_[s] = static_cast<uint32_t>(pool_.size());
-      for (const TrimmedIndex::CandidateEdge& ce :
-           trimmed_.CandidatesAt(i, vi)) {
-        assert((pool_.size() == cand_begin_[s] ||
-                pool_.back().tgt_idx < edge_tgt_[ce.edge]) &&
-               "candidate list not ascending in target-pool rank");
-        pool_.push_back(Candidate{ce.edge, ce.dst, ce.label, ce.next_pos,
-                                  edge_tgt_[ce.edge]});
-      }
-      cand_end_[s] = static_cast<uint32_t>(pool_.size());
-
-      // rank[k] = #queue entries with (tgt_idx - span_begin) < k: one
-      // merge over the span, O(out-degree) per slot.
-      rank_begin_[s] = static_cast<uint32_t>(rank_pool_.size());
-      const uint32_t len = cand_end_[s] - cand_begin_[s];
-      uint32_t c = 0;
-      for (uint32_t k = 0; k < span_len_[s]; ++k) {
-        while (c < len && pool_[cand_begin_[s] + c].tgt_idx - sb < k) ++c;
-        rank_pool_.push_back(c);
-      }
+      const uint32_t len = groups.back().end - sb;
+      slots_.push_back(Slot{i, sb, len, ranks});
+      ranks += len;
     }
   }
 
-  // CSR of "slots of vertex v" for the per-pair SlotOf lookup.
-  vertex_slot_off_.assign(snap.num_vertices() + 1, 0);
-  for (uint32_t s = 0; s < n; ++s) ++vertex_slot_off_[vertex_[s] + 1];
-  for (uint32_t v = 0; v < snap.num_vertices(); ++v)
-    vertex_slot_off_[v + 1] += vertex_slot_off_[v];
-  vertex_slots_.resize(n);
-  std::vector<uint32_t> cursor(vertex_slot_off_.begin(),
-                               vertex_slot_off_.end() - 1);
-  for (uint32_t s = 0; s < n; ++s)
-    vertex_slots_[cursor[vertex_[s]]++] = s;
+  // rank[k] = #queue entries with (PositionOf - span_begin) < k: one
+  // merge over the span, O(out-degree) per queue. The trimmed candidate
+  // list of (i, v) is already ascending in target-pool rank: the sweep
+  // walks groups in label order and targets in pool order.
+  rank_pool_.resize(ranks);
+  for (uint32_t s = 0; s < n; ++s) {
+    const Slot& slot = slots_[s];
+    std::span<const Candidate> queue = Queue(s);
+    uint32_t c = 0;
+    for (uint32_t k = 0; k < slot.span_len; ++k) {
+      while (c < queue.size() &&
+             adj.PositionOf(queue[c].edge) - slot.span_begin < k)
+        ++c;
+      rank_pool_[slot.rank_begin + k] = c;
+    }
+    assert(std::is_sorted(queue.begin(), queue.end(),
+                          [&adj](const Candidate& a, const Candidate& b) {
+                            return adj.PositionOf(a.edge) <
+                                   adj.PositionOf(b.edge);
+                          }) &&
+           "candidate list not ascending in target-pool rank");
+  }
 }
 
 }  // namespace dsw

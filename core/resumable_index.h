@@ -1,30 +1,32 @@
 // The memoryless enumeration index (Section 4.2 / Theorem 18). The
-// stateful TrimmedEnumerator keeps a stack of per-level cursors between
-// outputs; the memoryless variant keeps *nothing* — given only the
-// previous answer, the next one is recomputed in O(lambda x |A|) by a
-// guided run that repositions every level's cursor from the answer's
-// edges alone. That makes enumeration pageable and restartable: a
-// server can ship an answer to a client, drop the query's enumeration
-// state entirely, and resume from the answer echoed back later.
+// enumerator keeps a stack of per-level cursors between outputs, but it
+// never *needs* them: given only the previous answer, the next one is
+// recomputed in O(lambda x |A|) by a guided run that repositions every
+// level's cursor from the answer's edges alone. That makes enumeration
+// pageable and restartable: a server can ship an answer to a client,
+// drop the query's enumeration state entirely, and resume from the
+// answer echoed back later.
 //
 // ResumableIndex is the structure that makes the guided run cheap. It
-// owns a TrimmedIndex (same reverse-row backward sweep, same candidate
-// pool contents) and re-lays the per-(level, vertex) candidate lists
-// out as *queues sorted by the global target-pool rank* (Database::
-// tgt_idx — within one vertex, exactly the order the enumerator tries
-// candidates in), each with a flat rank array over the vertex's
-// out-edge span:
+// owns a TrimmedIndex and uses that index's per-(level, vertex)
+// candidate ranges *as* its queues — no copy. A trimmed candidate list
+// is already sorted by the global target-pool rank (LabelIndex::
+// PositionOf — within one vertex, exactly the order the enumerator
+// tries candidates in), so the only addition is a flat rank array per
+// queue over the vertex's out-edge span:
 //
-//   rank[k] = #candidates of the queue whose (tgt_idx - span_begin) < k
+//   rank[k] = #candidates of the queue whose (PositionOf - span_begin) < k
 //
 // so SeekGe(edge) — "cursor of the first candidate at or after this
-// edge" — is one subtraction and one load, O(1), instead of the linear
-// queue re-advance that costs an extra in-degree factor d (the E8
-// strawman). Rank arrays cost O(sum of out-degrees over useful
-// (level, vertex) pairs) <= O(|D| x |A|) words, within the paper's
-// index budget.
+// edge" — is one PositionOf load, one subtraction and one rank load,
+// O(1), instead of the linear queue re-advance that costs an extra
+// in-degree factor d (the E8 strawman). The edge ranks come from the
+// snapshot's LabelIndex, held by shared_ptr (and not charged to
+// ApproxBytes: every plan of one generation shares it), so the
+// index's own bytes are O(useful queues + sum of their out-degrees) —
+// sized by the answer DAG, not by the database.
 //
-// Cursors are plain indexes into the shared candidate pool; the
+// Cursors are plain positions in the trimmed candidate pool; the
 // queue-walking API (RestartCursor / Peek / Advanced / Exhausted) is
 // deliberately value-oriented so an enumerator holds no pointers into
 // the index and the whole (index, previous answer) pair is trivially
@@ -35,7 +37,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/annotate.h"
@@ -45,35 +49,26 @@
 
 namespace dsw {
 
-/// Sentinel of SlotOf/SlotAt: no queue for that (vertex, state) /
-/// (level, vertex).
+/// Sentinel of SlotAt: no queue for that (level, vertex).
 inline constexpr uint32_t kNoSlot = UINT32_MAX;
 
 class ResumableIndex {
  public:
-  /// One queue entry: TrimmedIndex::CandidateEdge plus the seek key.
-  struct Candidate {
-    uint32_t edge;
-    uint32_t dst;
-    uint32_t label;
-    uint32_t next_pos;  // dst's position in useful level + 1
-    uint32_t tgt_idx;   // Database::tgt_idx(edge), the queue sort key
-  };
+  /// One queue entry: the trimmed candidate itself.
+  using Candidate = TrimmedIndex::CandidateEdge;
 
-  /// Builds the trimmed structure (one backward sweep) and the sorted
-  /// queues + rank arrays on top; a pure read of the snapshot, safe to
-  /// run concurrently with other readers. Release builds never consult
-  /// the database after construction; debug builds keep a back-pointer
-  /// for the stale-snapshot assertion (TrimmedIndex::AssertFresh), so
-  /// there the database must outlive the index. \p opts selects the
-  /// sequential or sharded backward sweep (same structure either way).
-  ResumableIndex(const Snapshot& snap, const Annotation& ann,
-                 const AnnotateOptions& opts = {});
+  /// Builds the trimmed structure (one backward sweep) and the rank
+  /// arrays on top; a pure read of the snapshot, safe to run
+  /// concurrently with other readers. Release builds never consult the
+  /// database after construction; debug builds keep a back-pointer for
+  /// the stale-snapshot assertion (TrimmedIndex::AssertFresh), so there
+  /// the database must outlive the index.
+  ResumableIndex(const Snapshot& snap, const Annotation& ann);
 
-  /// Same queues + rank arrays on top of an already-built trimmed
-  /// structure (taken by value; move it in). This is the delta-repair
-  /// path: DeltaTrim patched the old TrimmedIndex against an insert-only
-  /// delta and only the queue layout remains to be rebuilt. \p trimmed
+  /// Same rank arrays on top of an already-built trimmed structure
+  /// (taken by value; move it in). This is the delta-repair path:
+  /// DeltaTrim patched the old TrimmedIndex against an insert-only
+  /// delta and only the rank arrays remain to be rebuilt. \p trimmed
   /// must describe \p ann against \p snap.
   ResumableIndex(const Snapshot& snap, const Annotation& ann,
                  TrimmedIndex trimmed);
@@ -83,29 +78,13 @@ class ResumableIndex {
   bool empty() const { return trimmed_.empty(); }
 
   /// Number of per-(level, vertex) queues.
-  uint32_t num_queues() const { return static_cast<uint32_t>(level_.size()); }
+  uint32_t num_queues() const { return static_cast<uint32_t>(slots_.size()); }
 
   // ------------------------------------------------------- slot lookup
 
-  /// Queue of vertex \p v at the unique level where state \p p is useful
-  /// at v (each product pair lives on exactly one BFS level), or kNoSlot
-  /// when (v, p) is not useful anywhere below lambda. This is the
-  /// per-pair-queue view of the paper; all states useful at the same
-  /// (level, v) share one physical queue.
-  uint32_t SlotOf(uint32_t v, uint32_t p) const {
-    if (v + 1 >= vertex_slot_off_.size()) return kNoSlot;
-    for (uint32_t i = vertex_slot_off_[v]; i < vertex_slot_off_[v + 1];
-         ++i) {
-      uint32_t s = vertex_slots_[i];
-      StateSetView useful =
-          trimmed_.UsefulStates(level_[s], s - level_base_[level_[s]]);
-      if (p < useful.capacity() && useful.Test(p)) return s;
-    }
-    return kNoSlot;
-  }
-
-  /// Queue of (level, vertex) directly — the guided run knows the level.
-  /// O(log |level|) binary search over the level's sorted vertices.
+  /// Queue of (level, vertex), or kNoSlot when v is not useful at a
+  /// level below lambda. O(log |level|) binary search over the level's
+  /// sorted vertices; all states useful at (level, v) share the queue.
   uint32_t SlotAt(uint32_t level, uint32_t v) const {
     if (level + 1 >= level_base_.size()) return kNoSlot;
     size_t pos = trimmed_.UsefulLevel(level).FindIndex(v);
@@ -122,27 +101,25 @@ class ResumableIndex {
     return level_base_[level] + pos;
   }
 
-  uint32_t level_of(uint32_t slot) const { return level_[slot]; }
-  uint32_t vertex_of(uint32_t slot) const { return vertex_[slot]; }
+  uint32_t level_of(uint32_t slot) const { return slots_[slot].level; }
+  uint32_t vertex_of(uint32_t slot) const {
+    return trimmed_.UsefulLevel(level_of(slot)).vertex(PosOf(slot));
+  }
 
   // ---------------------------------------------------- queue walking
 
   /// Cursor at the front of the queue.
-  uint32_t RestartCursor(uint32_t slot) const { return cand_begin_[slot]; }
-
-  /// Cursor one past the last entry (where SeekGe lands when every
-  /// entry precedes the key).
-  uint32_t EndCursor(uint32_t slot) const { return cand_end_[slot]; }
+  uint32_t RestartCursor(uint32_t slot) const { return Range(slot).first; }
 
   bool Exhausted(uint32_t slot, uint32_t cur) const {
-    return cur >= cand_end_[slot];
+    return cur >= Range(slot).second;
   }
 
   /// The entry under the cursor; only meaningful while !Exhausted.
   const Candidate& Peek([[maybe_unused]] uint32_t slot,
                         uint32_t cur) const {
     assert(!Exhausted(slot, cur) && "Peek past the end of the queue");
-    return pool_[cur];
+    return At(cur);
   }
 
   /// The cursor after \p cur; O(1).
@@ -154,91 +131,88 @@ class ResumableIndex {
   /// True iff \p edge is an out-edge of the slot's vertex — the
   /// precondition of SeekGe (any edge id is safe to pass here).
   bool SpanContains(uint32_t slot, uint32_t edge) const {
-    return edge < edge_tgt_.size() &&
-           edge_tgt_[edge] - span_begin_[slot] < span_len_[slot];
+    return edge < adj_->num_edges() &&
+           adj_->PositionOf(edge) - slots_[slot].span_begin <
+               slots_[slot].span_len;
   }
 
-  /// Cursor of the first queue entry whose tgt_idx is >= tgt_idx(edge)
-  /// (== the entry for \p edge itself when the edge is in the queue);
-  /// EndCursor(slot) when all entries precede it. O(1): one rank-array
-  /// load. Precondition: SpanContains(slot, edge).
+  /// Cursor of the first queue entry at or after \p edge in target-pool
+  /// rank (== the entry for \p edge itself when the edge is in the
+  /// queue); the end of the queue when all entries precede it. O(1):
+  /// one rank-array load. Precondition: SpanContains(slot, edge).
   uint32_t SeekGe(uint32_t slot, uint32_t edge) const {
     trimmed_.AssertFresh();
     assert(SpanContains(slot, edge) &&
            "SeekGe: edge is not an out-edge of the slot's vertex");
-    uint32_t rel = edge_tgt_[edge] - span_begin_[slot];
-    return cand_begin_[slot] + rank_pool_[rank_begin_[slot] + rel];
+    const Slot& s = slots_[slot];
+    uint32_t rel = adj_->PositionOf(edge) - s.span_begin;
+    return RestartCursor(slot) + rank_pool_[s.rank_begin + rel];
   }
 
-  /// Certificate (B-list) structure of the slot's queue. Queue entries
-  /// mirror the trimmed candidate list position for position, so the
-  /// B-list positions are cursor offsets from RestartCursor(slot).
+  /// Certificate (B-list) structure of the slot's queue. B-list
+  /// positions are cursor offsets from RestartCursor(slot).
   TrimmedIndex::BList BListOf(uint32_t slot) const {
-    const uint32_t level = level_[slot];
-    return trimmed_.BListAt(level, slot - level_base_[level]);
+    return trimmed_.BListAt(level_of(slot), PosOf(slot));
   }
 
-  /// The pool entry under a cursor — for callers that carry (cur, end)
-  /// pairs themselves (the enumerator's frames) instead of re-supplying
-  /// the slot on every read.
-  const Candidate& At(uint32_t cur) const { return pool_[cur]; }
+  /// The pool entry under a cursor — for callers that carry cursors
+  /// themselves (the enumerator's frames) instead of re-supplying the
+  /// slot on every read.
+  const Candidate& At(uint32_t cur) const {
+    return trimmed_.CandidateAtPool(cur);
+  }
 
   /// The queue as a span — introspection for the structural-invariant
-  /// tests; the enumerator walks cursors instead.
+  /// tests and the benchmarks' candidate counts.
   std::span<const Candidate> Queue(uint32_t slot) const {
-    return {pool_.data() + cand_begin_[slot],
-            pool_.data() + cand_end_[slot]};
+    return trimmed_.CandidatesAt(level_of(slot), PosOf(slot));
   }
 
-  /// Heap footprint estimate (including the owned TrimmedIndex), for
-  /// the plan cache's byte budget.
+  /// Heap footprint estimate (including the owned TrimmedIndex, not the
+  /// shared LabelIndex), for the plan cache's byte budget.
   size_t ApproxBytes() const {
-    auto u32 = [](const std::vector<uint32_t>& v) {
-      return v.capacity() * sizeof(uint32_t);
-    };
     return sizeof(ResumableIndex) - sizeof(TrimmedIndex) +
-           trimmed_.ApproxBytes() + pool_.capacity() * sizeof(Candidate) +
-           u32(level_base_) + u32(level_) + u32(vertex_) + u32(cand_begin_) +
-           u32(cand_end_) + u32(span_begin_) + u32(span_len_) +
-           u32(rank_begin_) + u32(rank_pool_) + u32(edge_tgt_) +
-           u32(vertex_slot_off_) + u32(vertex_slots_);
+           trimmed_.ApproxBytes() +
+           level_base_.capacity() * sizeof(uint32_t) +
+           slots_.capacity() * sizeof(Slot) +
+           rank_pool_.capacity() * sizeof(uint32_t);
   }
 
  private:
-  // Lays out the queues, rank arrays, and the vertex-slot CSR from
-  // trimmed_ (shared tail of both constructors).
-  void BuildQueues(const Snapshot& snap, const Annotation& ann);
+  // Per queue: its level and the seek key's domain — the vertex's
+  // out-edge span in the target pool and its rank array in rank_pool_.
+  struct Slot {
+    uint32_t level;
+    uint32_t span_begin;  // vertex's first target-pool position
+    uint32_t span_len;    // vertex's out-degree
+    uint32_t rank_begin;  // into rank_pool_
+  };
+
+  // Lays out the slots and rank arrays from trimmed_ (shared tail of
+  // both constructors).
+  void BuildQueues(const Annotation& ann);
+
+  uint32_t PosOf(uint32_t slot) const {
+    return slot - level_base_[level_of(slot)];
+  }
+  std::pair<uint32_t, uint32_t> Range(uint32_t slot) const {
+    return trimmed_.CandidateRangeAt(level_of(slot), PosOf(slot));
+  }
 
   TrimmedIndex trimmed_;
+  std::shared_ptr<const LabelIndex> adj_;  // seek keys; shared, not owned
 
-  // Queues are allocated level-major, in useful-level vertex order, so
-  // slot id == level_base_[level] + position-in-level and every array
-  // below is indexed by slot.
+  // Queues are numbered level-major, in useful-level vertex order, so
+  // slot id == level_base_[level] + position-in-level.
   std::vector<uint32_t> level_base_;  // level -> first slot; size lambda+1
-  std::vector<uint32_t> level_;
-  std::vector<uint32_t> vertex_;
-  std::vector<uint32_t> cand_begin_;  // into pool_
-  std::vector<uint32_t> cand_end_;
-  std::vector<uint32_t> span_begin_;  // vertex's first target-pool rank
-  std::vector<uint32_t> span_len_;    // vertex's out-degree
-  std::vector<uint32_t> rank_begin_;  // into rank_pool_
-
-  std::vector<Candidate> pool_;       // queues, ascending tgt_idx each
-  std::vector<uint32_t> rank_pool_;   // per slot: span_len_ rank entries
-  std::vector<uint32_t> edge_tgt_;    // edge id -> target-pool rank
-
-  // Per-vertex list of the (few) slots of that vertex, CSR layout; a
-  // vertex has one slot per level it is useful at, at most min(lambda,
-  // |Q|) of them.
-  std::vector<uint32_t> vertex_slot_off_;  // size V+1
-  std::vector<uint32_t> vertex_slots_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> rank_pool_;  // per slot: span_len rank entries
 };
 
 }  // namespace dsw
 
 // The memoryless subsystem is one unit: every consumer of the index
-// also wants the enumerator that drives it (bench_memoryless includes
-// only this header and core/enumerator.h). The include sits below the
+// also wants the enumerator that drives it. The include sits below the
 // class so either header can be included first.
 #include "core/resumable_enumerator.h"  // IWYU pragma: export
 

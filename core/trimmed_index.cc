@@ -1,8 +1,5 @@
 #include "core/trimmed_index.h"
 
-#include "core/shard_plan.h"
-#include "core/sharded_annotate.h"
-
 namespace dsw {
 
 namespace trim_detail {
@@ -86,29 +83,16 @@ bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                 uint32_t wps, uint32_t v, StateSetView states,
                 const LevelSets& next_useful, Scratch* scratch,
                 std::vector<TrimmedIndex::CandidateEdge>* cand_pool,
-                std::vector<uint32_t>* nxt_pool, bool force_multi_word) {
-  if (wps == 1 && !force_multi_word)
-    return TrimVertexImpl(SingleWordKernel(), adj, delta, v, states,
-                          next_useful, scratch, cand_pool, nxt_pool);
-  return TrimVertexImpl(MultiWordKernel(wps), adj, delta, v, states,
-                        next_useful, scratch, cand_pool, nxt_pool);
+                std::vector<uint32_t>* nxt_pool) {
+  return WithKernel(wps, [&](auto ker) {
+    return TrimVertexImpl(ker, adj, delta, v, states, next_useful, scratch,
+                          cand_pool, nxt_pool);
+  });
 }
 
 }  // namespace trim_detail
 
-TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
-                           const AnnotateOptions& opts) {
-  if (ShardPlan::ClampShards(opts.num_shards, snap.num_vertices()) > 1 &&
-      ann.reachable()) {
-    ShardedTrimBuild(*this, snap, ann, opts);
-    return;
-  }
-  BuildSequential(snap, ann, opts.force_multi_word);
-}
-
-void TrimmedIndex::BuildSequential(const Snapshot& snap,
-                                   const Annotation& ann,
-                                   bool force_multi_word) {
+TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann) {
   db_ = &snap.db();
   generation_ = snap.generation();
   if (!ann.reachable()) return;
@@ -138,7 +122,7 @@ void TrimmedIndex::BuildSequential(const Snapshot& snap,
   // would only duplicate moves. The after side is already inside the
   // delta rows. The per-vertex unit (word-parallel reverse-row move
   // sets, candidate list, B-list block) lives in trim_detail::TrimVertex,
-  // shared with the sharded builder.
+  // shared with the delta-repair patcher.
   const LabelIndex& adj = snap.label_index();
   const CompiledDelta& delta = ann.delta;
   trim_detail::Scratch scratch(ann.num_states);
@@ -153,7 +137,7 @@ void TrimmedIndex::BuildSequential(const Snapshot& snap,
       const size_t block_off = nxt_pool_.size();
       if (!trim_detail::TrimVertex(adj, delta, wps_, v, level.states(vi),
                                    next_useful, &scratch, &cand_pool_,
-                                   &nxt_pool_, force_multi_word))
+                                   &nxt_pool_))
         continue;
       useful_[i].Append(v, scratch.useful_here.words());
       cand_ranges_[i].emplace_back(cand_begin,

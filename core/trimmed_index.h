@@ -98,14 +98,10 @@ class TrimmedIndex {
     /// ops, independent of num_cand. When \p probes is non-null it is
     /// incremented by the number of slot loads (the op-count proxy the
     /// delay tests assert on — identical in both kernel tiers).
-    /// \p allow_single_word is the test/bench knob forcing the generic
-    /// multi-word instantiation onto one-word queries.
     uint32_t NextLive(const StateSet& r, uint32_t from,
-                      uint64_t* probes = nullptr,
-                      bool allow_single_word = true) const {
+                      uint64_t* probes = nullptr) const {
       const uint32_t n = static_cast<uint32_t>(useful.num_words());
-      if (n == 1 && allow_single_word)
-        return NextLiveWith(SingleWordKernel(), r, from, probes);
+      if (n == 1) return NextLiveWith(SingleWordKernel(), r, from, probes);
       return NextLiveWith(MultiWordKernel(n), r, from, probes);
     }
 
@@ -152,12 +148,8 @@ class TrimmedIndex {
   /// Builds the trimmed structure from a frozen snapshot (one backward
   /// sweep over the annotation); a pure read of the snapshot, safe to
   /// run concurrently with other readers. The snapshot's generation is
-  /// recorded for the AssertFresh staleness check. With
-  /// opts.num_shards > 1 the sweep runs sharded (one thread per shard,
-  /// superstep per level; core/sharded_annotate.h) and produces a
-  /// bit-identical structure.
-  TrimmedIndex(const Snapshot& snap, const Annotation& ann,
-               const AnnotateOptions& opts = {});
+  /// recorded for the AssertFresh staleness check.
+  TrimmedIndex(const Snapshot& snap, const Annotation& ann);
 
   /// Number of useful (v, q, level) triples; 0 iff no answer exists.
   size_t num_slots() const { return num_slots_; }
@@ -194,8 +186,8 @@ class TrimmedIndex {
   uint32_t num_levels() const { return static_cast<uint32_t>(useful_.size()); }
 
   /// The whole useful level — sorted vertices with their state sets.
-  /// ResumableIndex walks these to lay out its per-(level, vertex)
-  /// candidate queues without re-running the backward sweep.
+  /// ResumableIndex walks these to number its per-(level, vertex)
+  /// queues without re-running the backward sweep.
   const LevelSets& UsefulLevel(uint32_t level) const {
     AssertFresh();
     return useful_[level];
@@ -209,6 +201,21 @@ class TrimmedIndex {
     AssertFresh();
     const auto& [begin, end] = cand_ranges_[level][pos];
     return {cand_pool_.data() + begin, cand_pool_.data() + end};
+  }
+
+  /// [begin, end) of the vertex at position \p pos of useful level
+  /// \p level (level < lambda) in the candidate pool — the same range
+  /// CandidatesAt spans. ResumableIndex uses pool positions as its queue
+  /// cursors.
+  std::pair<uint32_t, uint32_t> CandidateRangeAt(uint32_t level,
+                                                 size_t pos) const {
+    AssertFresh();
+    return cand_ranges_[level][pos];
+  }
+
+  /// The candidate at pool position \p i (see CandidateRangeAt).
+  const CandidateEdge& CandidateAtPool(uint32_t i) const {
+    return cand_pool_[i];
   }
 
   /// Certificate (B-list) structure of the vertex at position \p pos of
@@ -246,10 +253,6 @@ class TrimmedIndex {
   }
 
  private:
-  // The sharded builder (core/sharded_annotate.cc) assembles the same
-  // private structure from per-shard pieces.
-  friend void ShardedTrimBuild(TrimmedIndex&, const Snapshot&,
-                               const Annotation&, const AnnotateOptions&);
   // The delta-repair path (core/delta_annotate.cc) assembles a patched
   // copy of an existing index against an insert-only edge delta. It
   // reads the old index through these private members on purpose: the
@@ -258,12 +261,6 @@ class TrimmedIndex {
   // being copied are exactly what the repair needs.
   friend class DeltaTrimmer;
   TrimmedIndex() = default;
-
-  // The sequential backward sweep (the num_shards <= 1 path).
-  // force_multi_word forwards AnnotateOptions::force_multi_word to the
-  // per-vertex kernel dispatch.
-  void BuildSequential(const Snapshot& snap, const Annotation& ann,
-                       bool force_multi_word = false);
 
   uint32_t wps_ = 0;
   std::vector<LevelSets> useful_;  // per level, sorted vertices
@@ -294,22 +291,20 @@ struct Scratch {
 };
 
 /// The per-vertex unit of the backward sweep, shared verbatim between
-/// the sequential TrimmedIndex constructor and the sharded builder —
-/// which is what makes the two paths bit-identical by construction.
-/// Appends the candidate edges of annotated vertex \p v (state set
-/// \p states) to *cand_pool, and — iff v turns out useful — its B-list
-/// block to *nxt_pool; returns that usefulness, with the useful set
-/// left in scratch->useful_here. CandidateEdge::next_pos is a position
-/// into \p next_useful, so passing the *merged* next level keeps the
-/// sharded build's positions global. Dispatches to the single-word
-/// kernel when wps == 1 unless \p force_multi_word (results are
-/// bit-identical either way).
+/// the TrimmedIndex constructor and the delta-repair patcher
+/// (core/delta_annotate.cc) — which is what makes a repaired index
+/// bit-identical to a rebuilt one. Appends the candidate edges of
+/// annotated vertex \p v (state set \p states) to *cand_pool, and — iff
+/// v turns out useful — its B-list block to *nxt_pool; returns that
+/// usefulness, with the useful set left in scratch->useful_here.
+/// CandidateEdge::next_pos is a position into \p next_useful. Runs the
+/// kernel UseSingleWordKernel(wps) picks (results are bit-identical
+/// either way).
 bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                 uint32_t wps, uint32_t v, StateSetView states,
                 const LevelSets& next_useful, Scratch* scratch,
                 std::vector<TrimmedIndex::CandidateEdge>* cand_pool,
-                std::vector<uint32_t>* nxt_pool,
-                bool force_multi_word = false);
+                std::vector<uint32_t>* nxt_pool);
 
 }  // namespace trim_detail
 

@@ -223,7 +223,7 @@ QueryId QueryEngine::RegisterLocked(
 }
 
 QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
-                             uint32_t target, const AnnotateOptions& opts) {
+                             uint32_t target) {
   Snapshot snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -239,9 +239,9 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
   // keys proceed in parallel, all against the same frozen snapshot;
   // misses on the SAME key build once (single-flight).
   std::shared_ptr<const PreparedQuery> prepared = cache_.GetOrBuild(
-      key, [&snap, &query, source, target, &opts] {
+      key, [&snap, &query, source, target] {
         return std::make_shared<const PreparedQuery>(snap, query, source,
-                                                     target, opts);
+                                                     target);
       });
   BumpTier(prepared->tier);
   std::lock_guard<std::mutex> lock(mu_);
@@ -263,8 +263,8 @@ void QueryEngine::BumpTier(ExecTier tier) {
 }
 
 std::vector<QueryId> QueryEngine::PrepareBatch(
-    const Nfa& query, const std::vector<uint32_t>& sources, uint32_t target,
-    const AnnotateOptions& opts) {
+    const Nfa& query, const std::vector<uint32_t>& sources,
+    uint32_t target) {
   Snapshot snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -285,18 +285,18 @@ std::vector<QueryId> QueryEngine::PrepareBatch(
   // each slice is bit-identical to a per-source Annotate, so cache
   // entries filled here and by single Prepare() are interchangeable.
   std::vector<PlanCache::Value> values = cache_.GetOrBuildBatch(
-      keys, [&snap, &query, &sources, target, &opts,
+      keys, [&snap, &query, &sources, target,
              tier](const std::vector<size_t>& idx) {
         std::vector<uint32_t> batch_sources;
         batch_sources.reserve(idx.size());
         for (size_t i : idx) batch_sources.push_back(sources[i]);
         MultiSourceAnnotation ms =
-            AnnotateMultiSource(snap, query, batch_sources, target, opts);
+            AnnotateMultiSource(snap, query, batch_sources, target);
         std::vector<PlanCache::Value> built;
         built.reserve(idx.size());
         for (size_t j = 0; j < idx.size(); ++j)
-          built.push_back(std::make_shared<const PreparedQuery>(
-              snap, ms.Slice(j), opts, tier));
+          built.push_back(
+              std::make_shared<const PreparedQuery>(snap, ms.Slice(j), tier));
         return built;
       });
   std::vector<QueryId> ids;
@@ -309,8 +309,8 @@ std::vector<QueryId> QueryEngine::PrepareBatch(
 
 PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
                                              LabelDictionary* dict,
-                                             uint32_t source, uint32_t target,
-                                             const AnnotateOptions& opts) {
+                                             uint32_t source,
+                                             uint32_t target) {
   PrepareRegexResult result;
   RegexParseResult parsed = ParseRegex(pattern);
   if (!parsed.ok()) {
@@ -322,14 +322,14 @@ PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
   (compiled.frontend == Frontend::kThompson ? frontend_thompson_
                                             : frontend_glushkov_)
       .fetch_add(1, std::memory_order_relaxed);
-  result.id = Prepare(compiled.nfa, source, target, opts);
+  result.id = Prepare(compiled.nfa, source, target);
   result.ok = true;
   return result;
 }
 
 SessionId QueryEngine::OpenSession(QueryId query) {
   std::lock_guard<std::mutex> lock(mu_);
-  assert(query < queries_.size() && "OpenSession: unknown query");
+  if (query >= queries_.size()) return kInvalidSession;
   Session s;
   s.query = queries_[query];
   sessions_.push_back(std::move(s));
@@ -342,7 +342,10 @@ std::future<PumpResult> QueryEngine::PumpAsync(SessionId session,
   std::future<PumpResult> future = promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    assert(session < sessions_.size() && "PumpAsync: unknown session");
+    if (session >= sessions_.size()) {
+      promise.set_value(PumpResult{PumpStatus::kUnknown, {}});
+      return future;
+    }
     Session& s = sessions_[session];
     switch (s.state) {
       case SessionState::kQueued:

@@ -82,7 +82,12 @@ enum class PumpStatus : uint8_t {
   kExhausted,  // enumeration complete (this batch may still hold walks)
   kRetired,    // pinned to a retired snapshot generation; no walks
   kBusy,       // a pump for this session is already in flight
+  kUnknown,    // no such session (bad handle); no walks
 };
+
+/// SessionId OpenSession returns for an unknown QueryId; pumping it
+/// yields PumpStatus::kUnknown like any other unknown handle.
+inline constexpr SessionId kInvalidSession = UINT32_MAX;
 
 struct PumpResult {
   PumpStatus status = PumpStatus::kOk;
@@ -172,11 +177,7 @@ class QueryEngine {
   /// returns the shared structure with no annotate/trim work; a miss
   /// builds once on the calling thread (concurrent misses on the same
   /// key wait for the one build). Requires a snapshot to be installed.
-  /// \p opts opts a cold build into the sharded preprocessing path
-  /// (AnnotateOptions::num_shards > 1); the index is identical either
-  /// way, so cached entries are shared across opts values.
-  QueryId Prepare(const Nfa& query, uint32_t source, uint32_t target,
-                  const AnnotateOptions& opts = {});
+  QueryId Prepare(const Nfa& query, uint32_t source, uint32_t target);
 
   /// Prepares (query, s, target) for every s in \p sources. Cached
   /// sources hit; all missing sources are built by ONE block-replicated
@@ -186,8 +187,7 @@ class QueryEngine {
   /// order (duplicates allowed; they share the cache entry).
   std::vector<QueryId> PrepareBatch(const Nfa& query,
                                     const std::vector<uint32_t>& sources,
-                                    uint32_t target,
-                                    const AnnotateOptions& opts = {});
+                                    uint32_t target);
 
   /// Source-level Prepare: parses \p pattern, canonicalizes, picks the
   /// front-end per the E9 size heuristic (recorded in Stats()), and
@@ -197,24 +197,27 @@ class QueryEngine {
   /// reported in the result, not thrown.
   PrepareRegexResult PrepareRegex(std::string_view pattern,
                                   LabelDictionary* dict, uint32_t source,
-                                  uint32_t target,
-                                  const AnnotateOptions& opts = {});
+                                  uint32_t target);
 
   /// Opens a parked cursor over a prepared query. Cheap; many sessions
-  /// may share one prepared query.
+  /// may share one prepared query. An unknown \p query (never returned
+  /// by a Prepare call on this engine) yields kInvalidSession, in
+  /// release builds too.
   SessionId OpenSession(QueryId query);
 
   /// Schedules up to \p max_answers further answers for \p session on
   /// the worker pool. At most one pump per session may be in flight
   /// (kBusy otherwise). The future's PumpResult holds the batch; the
-  /// session re-parks on its last answer when the batch fills.
+  /// session re-parks on its last answer when the batch fills. An
+  /// unknown \p session resolves at once to kUnknown with no walks.
   std::future<PumpResult> PumpAsync(SessionId session, uint32_t max_answers);
 
   /// Blocking convenience wrapper around PumpAsync.
   PumpResult Pump(SessionId session, uint32_t max_answers);
 
   /// Pumps \p session in batches of \p batch until exhausted (or
-  /// retired); returns everything collected with the final status.
+  /// retired, or unknown); returns everything collected with the final
+  /// status.
   PumpResult Drain(SessionId session, uint32_t batch = 64);
 
   /// Nanoseconds from pump enqueue to the batch's first answer being

@@ -1,7 +1,7 @@
 // The concurrent query engine, pinned from four sides:
 //
 //  1. Correctness: batches pumped through the worker pool concatenate
-//     to exactly the single-threaded TrimmedEnumerator sequence (order
+//     to exactly the single-threaded trial-filter sequence (order
 //     included), for every session, under every batch size.
 //  2. Concurrency: N client threads park and SeekAfter-resume random
 //     sessions off ONE shared snapshot while the pool's workers run
@@ -29,8 +29,8 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/trial_filter_enumerator.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
 #include "core/trimmed_index.h"
@@ -57,7 +57,7 @@ EdgeSeq Oracle(const Snapshot& snap, const Nfa& query, uint32_t source,
   Annotation ann = Annotate(snap, query, source, target);
   TrimmedIndex index(snap, ann);
   EdgeSeq out;
-  for (TrimmedEnumerator en(ann, index, source, target); en.Valid();
+  for (TrialFilterEnumerator en(ann, index, source, target); en.Valid();
        en.Next())
     out.push_back(en.walk().edges);
   return out;
@@ -86,6 +86,36 @@ TEST(QueryEngineTest, DrainMatchesOracle) {
   // The engine recorded a first-answer latency for each non-empty batch.
   EXPECT_GE(engine.FirstAnswerLatenciesNs().size(),
             expected.size() / 17);
+}
+
+// Bad handles fail cleanly in every build type, not only under assert:
+// an unknown QueryId opens kInvalidSession, and pumping or draining an
+// unknown SessionId returns kUnknown with no walks and leaves the real
+// sessions untouched.
+TEST(QueryEngineTest, UnknownHandlesFailCleanly) {
+  Instance inst = BubbleChain(3, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  Snapshot snap = inst.db.Freeze();
+  QueryEngine engine(2);
+  engine.InstallSnapshot(snap);
+  QueryId q = engine.Prepare(query, inst.source, inst.target);
+  EXPECT_EQ(engine.OpenSession(q + 1), kInvalidSession);
+  EXPECT_EQ(engine.OpenSession(UINT32_MAX), kInvalidSession);
+
+  SessionId s = engine.OpenSession(q);
+  ASSERT_NE(s, kInvalidSession);
+  for (SessionId bad : {s + 1, kInvalidSession}) {
+    PumpResult pumped = engine.Pump(bad, 4);
+    EXPECT_EQ(pumped.status, PumpStatus::kUnknown);
+    EXPECT_TRUE(pumped.walks.empty());
+    PumpResult drained = engine.Drain(bad, 4);
+    EXPECT_EQ(drained.status, PumpStatus::kUnknown);
+    EXPECT_TRUE(drained.walks.empty());
+  }
+
+  PumpResult all = engine.Drain(s, 3);
+  EXPECT_EQ(all.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(all.walks), Oracle(snap, query, inst.source, inst.target));
 }
 
 TEST(QueryEngineTest, EveryBatchSizeParksAndResumesCorrectly) {

@@ -1,6 +1,7 @@
-// Property test: on randomized small instances, the trimmed enumerator
-// must agree with the naive product-path baseline as a *set* of walks,
-// emit zero duplicates, and emit only walks of length lambda. The naive
+// Property test: on randomized small instances, the enumerator
+// (ResumableEnumerator over the trimmed index) must agree with the
+// naive product-path baseline as a *set* of walks, emit zero
+// duplicates, and emit only walks of length lambda. The naive
 // baseline is independent enough (it never builds the trimmed structure
 // and dedupes by brute force) to serve as the oracle.
 
@@ -12,8 +13,7 @@
 
 #include "baseline/naive.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
@@ -29,12 +29,12 @@ void ExpectTrimmedMatchesNaive(Instance& inst, const Nfa& query,
   ASSERT_FALSE(naive.budget_exhausted);
 
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   EXPECT_EQ(ann.lambda, naive.lambda);
 
   std::set<std::vector<uint32_t>> trimmed_set;
   size_t emitted = 0;
-  for (TrimmedEnumerator en(ann, index, inst.source, inst.target);
+  for (ResumableEnumerator en(ann, index, inst.source, inst.target);
        en.Valid(); en.Next()) {
     ++emitted;
     EXPECT_EQ(en.walk().length(), static_cast<size_t>(ann.lambda));
@@ -93,9 +93,9 @@ TEST(EnumeratorPropertyTest, NaiveCountsDuplicatesTrimmedAvoids) {
   EXPECT_EQ(naive.duplicates, 16u * 28 - 16u);
 
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   size_t emitted = 0;
-  for (TrimmedEnumerator en(ann, index, inst.source, inst.target);
+  for (ResumableEnumerator en(ann, index, inst.source, inst.target);
        en.Valid(); en.Next())
     ++emitted;
   EXPECT_EQ(emitted, 16u);

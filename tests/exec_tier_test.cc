@@ -7,9 +7,9 @@
 //    nondeterministic query, epsilon-transitions.
 //  - Cross-tier bit-identity: the collapsed single-word kernels vs the
 //    generic multi-word loops forced onto the same one-word query
-//    (AnnotateOptions::force_multi_word, the enumerators' ctor flag)
-//    must agree level for level, candidate for candidate, B-list row
-//    for B-list row, answer for answer — and probe for probe (OpStats).
+//    (the ScopedMultiWordKernels test seam, util/word_kernel.h) must
+//    agree level for level, candidate for candidate, B-list row for
+//    B-list row, answer for answer — and probe for probe (OpStats).
 //    Queries over 64 states exercise the genuinely-multi-word path.
 //  - Simple-vs-trimmed oracle: SimpleEnumerator's answer sequence is
 //    bit-identical to the general pipeline's on simple instances.
@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "automaton/thompson.h"
+#include "baseline/trial_filter_enumerator.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/query_traits.h"
 #include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
@@ -32,6 +32,7 @@
 #include "core/trimmed_index.h"
 #include "engine/engine.h"
 #include "regex/regex_parser.h"
+#include "util/word_kernel.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
@@ -116,49 +117,46 @@ void ExpectSameWalks(const std::vector<Walk>& a, const std::vector<Walk>& b) {
 
 // The whole cross-tier oracle: default (single-word for one-word
 // queries) vs forced multi-word — annotation, trimmed structure,
-// enumeration sequence, op accounting.
+// enumeration sequence, op accounting. The trial-filter baseline pins
+// the order both sides share.
 void ExpectTiersBitIdentical(Instance& inst, const Nfa& query) {
   Snapshot snap = inst.db.Freeze();
   Annotation fast_ann = Annotate(snap, query, inst.source, inst.target);
-  AnnotateOptions forced;
-  forced.force_multi_word = true;
-  Annotation slow_ann =
-      Annotate(snap, query, inst.source, inst.target, forced);
+  ResumableIndex fast_index(snap, fast_ann);
+  ResumableEnumerator fast_en(fast_ann, fast_index, inst.source,
+                              inst.target);
+
+  // Everything built while the guard lives runs the multi-word kernels;
+  // the fast side above keeps the kernel it was built with.
+  ScopedMultiWordKernels force;
+  EXPECT_FALSE(UseSingleWordKernel(1));
+  Annotation slow_ann = Annotate(snap, query, inst.source, inst.target);
   ExpectAnnotationsEqual(fast_ann, slow_ann);
+  ResumableIndex slow_index(snap, slow_ann);
+  ExpectTrimmedEqual(fast_index.trimmed(), slow_index.trimmed());
+  ResumableEnumerator slow_en(slow_ann, slow_index, inst.source,
+                              inst.target);
 
-  TrimmedIndex fast_index(snap, fast_ann);
-  TrimmedIndex slow_index(snap, slow_ann, forced);
-  ExpectTrimmedEqual(fast_index, slow_index);
-
-  TrimmedEnumerator fast_en(fast_ann, fast_index, inst.source, inst.target);
-  TrimmedEnumerator slow_en(slow_ann, slow_index, inst.source, inst.target,
-                            /*force_multi_word=*/true);
   std::vector<Walk> fast = DrainAll(&fast_en);
   std::vector<Walk> slow = DrainAll(&slow_en);
   ExpectSameWalks(fast, slow);
   // The Theorem 2 op accounting must not depend on the kernel tier.
   EXPECT_EQ(fast_en.stats().row_ors, slow_en.stats().row_ors);
   EXPECT_EQ(fast_en.stats().probes, slow_en.stats().probes);
+  EXPECT_EQ(fast_en.stats().total(), slow_en.stats().total());
 
-  ResumableIndex fast_ri(snap, fast_ann);
-  ResumableIndex slow_ri(snap, slow_ann, forced);
-  ResumableEnumerator fast_ren(fast_ann, fast_ri, inst.source, inst.target);
-  ResumableEnumerator slow_ren(slow_ann, slow_ri, inst.source, inst.target,
-                               /*force_multi_word=*/true);
-  std::vector<Walk> fast_r = DrainAll(&fast_ren);
-  std::vector<Walk> slow_r = DrainAll(&slow_ren);
-  ExpectSameWalks(fast_r, fast);  // and both match the stateful order
-  ExpectSameWalks(fast_r, slow_r);
-  EXPECT_EQ(fast_ren.stats().total(), slow_ren.stats().total());
+  TrialFilterEnumerator ref(fast_ann, fast_index.trimmed(), inst.source,
+                            inst.target);
+  ExpectSameWalks(DrainAll(&ref), fast);
 
   // SeekAfter mid-sequence: both tiers resume onto the same successor.
   if (fast.size() >= 2) {
     const Walk& anchor = fast[fast.size() / 2];
-    ASSERT_TRUE(fast_ren.SeekAfter(anchor));
-    ASSERT_TRUE(slow_ren.SeekAfter(anchor));
-    ASSERT_EQ(fast_ren.Valid(), slow_ren.Valid());
-    if (fast_ren.Valid()) {
-      EXPECT_EQ(fast_ren.walk().edges, slow_ren.walk().edges);
+    ASSERT_TRUE(fast_en.SeekAfter(anchor));
+    ASSERT_TRUE(slow_en.SeekAfter(anchor));
+    ASSERT_EQ(fast_en.Valid(), slow_en.Valid());
+    if (fast_en.Valid()) {
+      EXPECT_EQ(fast_en.walk().edges, slow_en.walk().edges);
     }
   }
 }
@@ -319,7 +317,7 @@ TEST(ExecTierTest, ThompsonEpsilonBitIdenticalAcrossKernels) {
 }
 
 TEST(ExecTierTest, Over64StatesRunsMultiWordEitherWay) {
-  // wps = 2: force_multi_word is a no-op by construction, and the
+  // wps = 2: forcing multi-word is a no-op by construction, and the
   // genuinely multi-word instantiation must still be self-consistent.
   Instance inst = BubbleChain(4, 2);
   Nfa big = StaircaseNfa(70, 2);
@@ -345,8 +343,8 @@ void ExpectSimpleMatchesTrimmed(Instance& inst, const Nfa& dfa) {
   SimpleEnumerator simple(snap, dfa, inst.source, inst.target);
 
   Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
-  TrimmedEnumerator general(ann, index, inst.source, inst.target);
+  ResumableIndex index(snap, ann);
+  ResumableEnumerator general(ann, index, inst.source, inst.target);
 
   EXPECT_EQ(simple.lambda(), ann.lambda);
   std::vector<Walk> fast = DrainAll(&simple);

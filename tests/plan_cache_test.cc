@@ -37,8 +37,8 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/trial_filter_enumerator.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/trimmed_index.h"
 #include "engine/engine.h"
 #include "engine/plan_cache.h"
@@ -62,7 +62,7 @@ EdgeSeq Oracle(const Snapshot& snap, const Nfa& query, uint32_t source,
   Annotation ann = Annotate(snap, query, source, target);
   TrimmedIndex index(snap, ann);
   EdgeSeq out;
-  for (TrimmedEnumerator en(ann, index, source, target); en.Valid();
+  for (TrialFilterEnumerator en(ann, index, source, target); en.Valid();
        en.Next())
     out.push_back(en.walk().edges);
   return out;
@@ -223,10 +223,9 @@ TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   Instance inst = BubbleChain(3, 2);
   Nfa query = StaircaseNfa(1, 2);
   Snapshot snap = inst.db.Freeze();
-  AnnotateOptions aopts;
   auto make_value = [&] {
     return std::make_shared<const PreparedQuery>(snap, query, inst.source,
-                                                 inst.target, aopts);
+                                                 inst.target);
   };
 
   PlanCache cache(size_t{64} << 20);

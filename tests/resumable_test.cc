@@ -1,8 +1,9 @@
 // Cross-oracle harness for the memoryless pipeline (Theorem 18).
 //
-// The stateful TrimmedEnumerator is the oracle: on every instance x
-// query, ResumableEnumerator's full scan must reproduce its answer
-// sequence exactly (order included), the SeekAfter chain — each answer
+// The trial-filter baseline (baseline/trial_filter_enumerator.h, which
+// never reads a B-list or a rank array) is the order oracle: on every
+// instance x query, ResumableEnumerator's full scan must reproduce its
+// answer sequence exactly (order included), the SeekAfter chain — each answer
 // recomputed from the previous one alone — must reproduce it again,
 // and a *fresh* enumerator SeekAfter'ed to any answer w must emit
 // exactly the suffix after w, with the last answer invalidating
@@ -22,8 +23,8 @@
 
 #include "automaton/glushkov.h"
 #include "automaton/thompson.h"
+#include "baseline/trial_filter_enumerator.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_index.h"
 #include "core/trimmed_index.h"
 #include "regex/regex_parser.h"
@@ -48,10 +49,10 @@ void ExpectResumableMatchesStateful(Instance inst, const Nfa& query,
   SCOPED_TRACE(what);
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
-  TrimmedIndex tindex(snap, ann);
   ResumableIndex rindex(snap, ann);
 
-  TrimmedEnumerator ref_en(ann, tindex, inst.source, inst.target);
+  TrialFilterEnumerator ref_en(ann, rindex.trimmed(), inst.source,
+                               inst.target);
   const WalkSeq ref = Drain(ref_en);
 
   // (a) full scan, order included.
@@ -187,11 +188,10 @@ TEST(ResumableCrossOracleTest, UnreachableTargetHasNoAnswers) {
 }
 
 // Structural invariants of the index itself, on a noisy random
-// instance: every queue mirrors the trimmed candidate list of its
+// instance: every queue is the trimmed candidate list of its
 // (level, vertex), ascending in tgt_idx; SeekGe lands exactly on each
 // member and on the first entry at-or-after any other out-edge of the
-// vertex; SlotOf agrees with SlotAt for every useful state; level
-// lambda has no queues.
+// vertex; level lambda has no queues.
 TEST(ResumableIndexTest, QueueStructureInvariants) {
   Instance inst = EmbedInNoise(StarOfChains(5, 4, 2), 25, 100, 3);
   Nfa query = StaircaseNfa(2, 2);
@@ -218,9 +218,9 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
       EXPECT_EQ(queue[i].next_pos, ref[i].next_pos);
       EXPECT_EQ(queue[i].dst, inst.db.dst(queue[i].edge));
       EXPECT_EQ(queue[i].label, inst.db.edge(queue[i].edge).label);
-      EXPECT_EQ(queue[i].tgt_idx, snap.tgt_idx(queue[i].edge));
       if (i > 0) {
-        EXPECT_LT(queue[i - 1].tgt_idx, queue[i].tgt_idx);
+        EXPECT_LT(snap.tgt_idx(queue[i - 1].edge),
+                  snap.tgt_idx(queue[i].edge));
       }
       // SeekGe on a member is exact.
       EXPECT_EQ(index.SeekGe(s, queue[i].edge),
@@ -234,23 +234,45 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
       uint32_t key = snap.tgt_idx(e);
       for (uint32_t c = index.RestartCursor(s); c != cur;
            c = index.Advanced(s, c))
-        EXPECT_LT(index.Peek(s, c).tgt_idx, key);
+        EXPECT_LT(snap.tgt_idx(index.Peek(s, c).edge), key);
       if (!index.Exhausted(s, cur)) {
-        EXPECT_GE(index.Peek(s, cur).tgt_idx, key);
+        EXPECT_GE(snap.tgt_idx(index.Peek(s, cur).edge), key);
       }
     }
-
-    // The per-(vertex, state) view resolves to this queue for every
-    // useful state at (level, v).
-    trimmed.Useful(level, v).ForEach(
-        [&](uint32_t p) { EXPECT_EQ(index.SlotOf(v, p), s); });
+    // Edge ids outside the snapshot are in no span.
+    EXPECT_FALSE(index.SpanContains(
+        s, static_cast<uint32_t>(inst.db.num_edges())));
+    EXPECT_FALSE(index.SpanContains(s, UINT32_MAX));
   }
 
-  // Level lambda (the target's level) has no queues, and states useful
-  // nowhere have no slot.
+  // Level lambda (the target's level) has no queues.
   EXPECT_EQ(index.SlotAt(static_cast<uint32_t>(ann.lambda), inst.target),
             kNoSlot);
-  EXPECT_EQ(index.SlotOf(inst.target, 0), kNoSlot);
+}
+
+// The queue layer is sized by the answer DAG, not by the database: a
+// large region of vertices and edges the query never reaches must not
+// change a single byte of it (the trimmed index it sits on is
+// compared separately by the other suites).
+TEST(ResumableIndexTest, QueueBytesIgnoreDisconnectedNoise) {
+  auto queue_bytes = [](uint32_t noise_vertices) {
+    Instance inst = BubbleChain(5, 2);
+    const uint32_t first = inst.db.AddVertices(noise_vertices);
+    for (uint32_t i = 0; i + 1 < noise_vertices; ++i) {
+      inst.db.AddEdge(first + i, i % 2, first + i + 1);
+      inst.db.AddEdge(first + i + 1, (i + 1) % 2, first + i);
+      inst.db.AddEdge(first + i, 0u, first + (i * 7 + 3) % noise_vertices);
+    }
+    Snapshot snap = inst.db.Freeze();
+    Nfa query = StaircaseNfa(2, 2);
+    Annotation ann = Annotate(snap, query, inst.source, inst.target);
+    EXPECT_TRUE(ann.reachable());
+    ResumableIndex index(snap, ann);
+    EXPECT_GT(index.num_queues(), 0u);
+    return index.ApproxBytes() - index.trimmed().ApproxBytes();
+  };
+  const size_t clean = queue_bytes(0);
+  EXPECT_EQ(queue_bytes(50000), clean);
 }
 
 // ------------------------------------------------------- adversarial
@@ -265,6 +287,7 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
 // edges e0..e4 = 0..4 by insertion order).
 struct AdversarialFixture {
   static constexpr uint32_t e0 = 0, e1 = 1, e2 = 2, e3 = 3, e4 = 4;
+  static constexpr uint32_t kNumEdges = 5;  // first id that is no edge
 
   Instance inst = MakeInstance();
   Nfa query = MakeQuery();
@@ -307,8 +330,8 @@ struct AdversarialFixture {
 TEST(ResumableAdversarialTest, FixtureAnswersAreSane) {
   AdversarialFixture fx;
   ExpectResumableMatchesStateful(fx.inst, fx.query, "ab-or-ba");
-  TrimmedEnumerator ref(fx.ann, fx.index.trimmed(), fx.inst.source,
-                        fx.inst.target);
+  TrialFilterEnumerator ref(fx.ann, fx.index.trimmed(), fx.inst.source,
+                            fx.inst.target);
   WalkSeq answers = Drain(ref);
   ASSERT_EQ(answers, (WalkSeq{{fx.e0, fx.e2}, {fx.e1, fx.e3}}));
 }
@@ -336,6 +359,11 @@ TEST(ResumableAdversarialTest, RejectsNonAnswersInRelease) {
   expect_rejected({fx.e0, fx.e4}, "edge trimmed away (dead-end dst)");
   expect_rejected({fx.e2, fx.e3}, "edge of the wrong vertex at level 0");
   expect_rejected({fx.e0, 1000000}, "garbage edge id");
+  expect_rejected({fx.e0, AdversarialFixture::kNumEdges},
+                  "edge id == |E| at the last level");
+  expect_rejected({AdversarialFixture::kNumEdges, fx.e2},
+                  "edge id == |E| at level 0");
+  expect_rejected({fx.e0, UINT32_MAX}, "edge id UINT32_MAX");
 
   // A rejected seek must not wedge the enumerator: a valid SeekAfter
   // right after still works (memorylessness).
@@ -367,6 +395,10 @@ TEST(ResumableAdversarialDeathTest, AssertsOnNonAnswersInDebug) {
   EXPECT_DEATH(seek({fx.e0, fx.e4}), "not an answer");
   EXPECT_DEATH(seek({fx.e2, fx.e3}), "not an answer");
   EXPECT_DEATH(seek({fx.e0, 1000000}), "not an answer");
+  EXPECT_DEATH(seek({fx.e0, AdversarialFixture::kNumEdges}),
+               "not an answer");
+  EXPECT_DEATH(seek({AdversarialFixture::kNumEdges, fx.e2}),
+               "not an answer");
 }
 #endif
 

@@ -17,16 +17,18 @@
 //    "one-uint64_t kernels" of the single-word tier.
 //
 // Dispatch happens at the entry points (Annotate, trim_detail::
-// TrimVertex, enumerator_detail::AdvanceStates, BList::NextLive) on
+// TrimVertex, the ResumableEnumerator constructor, and the plain
+// enumerator_detail::AdvanceStates / BList::NextLive helpers) on
 // words-per-set == 1; callers never name a kernel. Tests and benches
-// force the multi-word instantiation onto one-word queries
-// (AnnotateOptions::force_multi_word, the enumerators' trailing ctor
-// flag) to assert bit-identity and to measure the kernel win in
-// isolation.
+// force the multi-word instantiation onto one-word queries through one
+// test seam (ScopedMultiWordKernels below) to assert bit-identity and to
+// measure the kernel win in isolation. Production signatures carry no
+// kernel knob.
 
 #ifndef DSW_UTIL_WORD_KERNEL_H_
 #define DSW_UTIL_WORD_KERNEL_H_
 
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -131,6 +133,45 @@ struct SingleWordKernel : WordKernelOps<SingleWordKernel> {
   }
   static constexpr uint32_t wps() { return 1; }
 };
+
+namespace word_kernel_detail {
+inline std::atomic<uint32_t> multi_word_forced{0};
+}  // namespace word_kernel_detail
+
+/// Test seam: while at least one guard is alive, the kernel dispatch of
+/// Annotate, of the trim sweeps (TrimmedIndex, DeltaTrim) and of the
+/// ResumableEnumerator constructor picks MultiWordKernel even for
+/// one-word queries. The flag is read while structures are built, never
+/// per answer: an enumerator keeps the kernel it was constructed with.
+/// Only tests and benches create guards; results are bit-identical
+/// either way (tests/exec_tier_test.cc).
+class ScopedMultiWordKernels {
+ public:
+  ScopedMultiWordKernels() {
+    word_kernel_detail::multi_word_forced.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  ~ScopedMultiWordKernels() {
+    word_kernel_detail::multi_word_forced.fetch_sub(
+        1, std::memory_order_relaxed);
+  }
+  ScopedMultiWordKernels(const ScopedMultiWordKernels&) = delete;
+  ScopedMultiWordKernels& operator=(const ScopedMultiWordKernels&) = delete;
+};
+
+/// True when a query with \p wps words per state set runs the
+/// single-word kernels: wps == 1 and no ScopedMultiWordKernels guard.
+inline bool UseSingleWordKernel(uint32_t wps) {
+  return wps == 1 && word_kernel_detail::multi_word_forced.load(
+                         std::memory_order_relaxed) == 0;
+}
+
+/// Calls fn(kernel) with the kernel UseSingleWordKernel picks.
+template <typename Fn>
+decltype(auto) WithKernel(uint32_t wps, Fn&& fn) {
+  if (UseSingleWordKernel(wps)) return fn(SingleWordKernel());
+  return fn(MultiWordKernel(wps));
+}
 
 }  // namespace dsw
 
